@@ -1,11 +1,11 @@
-//! E10 — the real host backend (modern hardware, not a paper figure): wall
+//! E10 — the real host backends (modern hardware, not a paper figure): wall
 //! clock latency and bandwidth of the intranode shared-memory fabric and the
-//! UDP loopback transport, driven through the `Endpoint` front-end exactly
-//! as an application would.
+//! UDP socket reactor over loopback (one reactor per endpoint), driven
+//! through the `Endpoint` front-end exactly as an application would.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ppmsg_host::{HostCluster, ProcessId, ProtocolConfig, Tag, UdpEndpoint};
+use ppmsg_host::{HostCluster, ProcessId, ProtocolConfig, Reactor, Tag};
 use push_pull_messaging::prelude::{Endpoint, OpId, RawTransport};
 use std::time::Duration;
 
@@ -50,14 +50,19 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Internode UDP loopback.
+    // Internode UDP loopback, one reactor per endpoint.
+    let (ra, rb) = (Reactor::new().unwrap(), Reactor::new().unwrap());
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(256 * 1024);
-    let ua = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-    let ub = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
+    let ua = ra
+        .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+        .unwrap();
+    let ub = rb
+        .add_endpoint(ProcessId::new(1, 0), proto, "127.0.0.1:0")
+        .unwrap();
     ua.add_peer(ub.id(), ub.local_addr().unwrap());
     ub.add_peer(ua.id(), ua.local_addr().unwrap());
     let (ua, ub) = (Endpoint::new(ua), Endpoint::new(ub));
-    let mut group = c.benchmark_group("host_udp_loopback");
+    let mut group = c.benchmark_group("host_reactor");
     group.sample_size(20);
     for size in [16usize, 4096] {
         group.throughput(Throughput::Bytes(size as u64));

@@ -15,7 +15,13 @@
 //!   discrete-event simulation of a 1999-era SMP cluster and regenerates the
 //!   paper's figures, and
 //! * [`ppmsg-host`](../ppmsg_host/index.html) drives the same engine over
-//!   real OS primitives (in-process shared memory and UDP sockets).
+//!   real OS primitives (in-process shared memory, and UDP sockets driven
+//!   by a batched event-loop reactor).
+//!
+//! Timers stay sans-I/O too: the engine emits `SetTimer` actions, and the
+//! host-side users of wall time (the reactor's retransmission deadlines, the
+//! facade's `sleep`/`timeout` driver) share one clock-free hashed wheel,
+//! [`wheel::TimerWheel`], feeding it ticks from their own clocks.
 //!
 //! ## Protocol summary
 //!
@@ -96,6 +102,7 @@ pub mod sharded;
 pub mod telemetry;
 pub mod transport;
 pub mod types;
+pub mod wheel;
 pub mod wire;
 pub mod zbuf;
 

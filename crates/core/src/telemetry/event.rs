@@ -85,8 +85,6 @@ pub mod frame_kind {
 pub mod lock_ctx {
     /// A sharded-engine interaction (intranode post / packet / timer).
     pub const SHARD: u32 = 0;
-    /// A UDP endpoint engine call.
-    pub const UDP: u32 = 1;
     /// A reactor user-thread engine call.
     pub const REACTOR_USER: u32 = 2;
     /// The reactor loop processing one receive batch.

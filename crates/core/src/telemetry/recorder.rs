@@ -311,8 +311,19 @@ mod tests {
     // every assertion to events this test just recorded via reset() +
     // distinctive arguments.
 
+    /// `reset` trims every thread's ring and `set_enabled` switches
+    /// recording off process-wide, so the tests calling them run one at a
+    /// time: a concurrent reset mid-test hides events a test just wrote.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn records_and_snapshots_in_order() {
+        let _serial = serial();
         reset();
         clock::set_virtual_us(7);
         event(EventKind::FrameTx, 1, 0, 99);
@@ -335,6 +346,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
+        let _serial = serial();
         reset();
         for i in 0..(DEFAULT_RING_CAPACITY as u64 + 10) {
             event(EventKind::TimerArm, 0, 0, i | (1 << 60));
@@ -353,6 +365,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_drops_events() {
+        let _serial = serial();
         reset();
         let was = set_enabled(false);
         event(EventKind::ChannelFail, 0, 0, 0xDEAD);
@@ -366,6 +379,7 @@ mod tests {
 
     #[test]
     fn reset_hides_prior_events() {
+        let _serial = serial();
         event(EventKind::SackHole, 5, 5, 0xBEEF);
         reset();
         let snap = snapshot();

@@ -1,8 +1,8 @@
 //! The object-safe backend contract: [`RawTransport`].
 //!
-//! A transport backend — the intranode shared-memory fabric, the UDP
-//! internode endpoint, the deterministic sim-cluster loopback binding, or
-//! anything a downstream user writes — implements exactly one small trait:
+//! A transport backend — the intranode shared-memory fabric, the UDP socket
+//! reactor, the deterministic sim-cluster loopback binding, or anything a
+//! downstream user writes — implements exactly one small trait:
 //! the **posting core** (post a send / receive, cancel) plus a single
 //! completion-access primitive, [`RawTransport::with_completions`], which
 //! runs a closure against the endpoint's [`CompletionQueue`] under whatever
@@ -17,7 +17,7 @@
 //!
 //! The trait is deliberately **object-safe**: every required and provided
 //! method is non-generic, so `Box<dyn RawTransport>` is a first-class
-//! backend and heterogeneous endpoints (one host, one loopback, one UDP)
+//! backend and heterogeneous endpoints (one host, one loopback, one reactor)
 //! can live behind a single type in a routing table.
 
 use crate::engine::EndpointStats;

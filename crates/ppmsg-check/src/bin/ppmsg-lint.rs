@@ -32,7 +32,12 @@
 //! comment (the two telemetry rules above are file-level and cannot be
 //! waived).  Pattern strings below are assembled with `concat!` so this file
 //! never matches its own rules.
+//!
+//! Every run also prints the non-test lines of code of each crate (every
+//! line of its `src/` tree above the files' test tails), so design size is
+//! tracked in the CI log alongside the rules.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -128,6 +133,44 @@ fn strip_comments(line: &str, in_block: &mut bool) -> String {
     out
 }
 
+/// Index of the first line of a file's test tail: a test-gated cfg line —
+/// `#[cfg(test)]` or a compound like `#[cfg(all(test, feature =
+/// "telemetry"))]` — above an inline `mod … {`.  A gated item or an
+/// out-of-line `mod tests;` declaration does not start a tail.
+fn test_tail(lines: &[&str]) -> usize {
+    (0..lines.len())
+        .find(|&i| {
+            let t = lines[i].trim_start();
+            t.starts_with("#[cfg(")
+                && t.contains("(test")
+                && lines[i + 1..]
+                    .iter()
+                    .map(|l| l.trim())
+                    .find(|l| !l.starts_with("#["))
+                    .is_some_and(|l| l.contains("mod ") && l.ends_with('{'))
+        })
+        .unwrap_or(lines.len())
+}
+
+/// The crate a source file belongs to (its directory relative to the
+/// workspace root, `.` for the root package), or `None` for files outside
+/// any `src/` tree (integration tests, benches, examples).
+fn crate_of(rel_path: &str) -> Option<&str> {
+    if rel_path.starts_with("src/") {
+        return Some(".");
+    }
+    rel_path.find("/src/").map(|i| &rel_path[..i])
+}
+
+/// Non-test lines of a crate source file; an out-of-line `tests.rs`
+/// module counts as test code entirely.
+fn non_test_lines(rel_path: &str, content: &str) -> usize {
+    if rel_path.ends_with("/tests.rs") {
+        return 0;
+    }
+    test_tail(&content.lines().collect::<Vec<_>>())
+}
+
 fn check_source(rel_path: &str, content: &str, out: &mut Vec<Violation>) {
     let lines: Vec<&str> = content.lines().collect();
     let hot_path = content.contains(DENY_HOT_PATH);
@@ -150,16 +193,8 @@ fn check_source(rel_path: &str, content: &str, out: &mut Vec<Violation>) {
     let alloc_pats = hot_path_patterns();
     let clock_pats = clock_patterns();
 
-    // First test-gated cfg line — `#[cfg(test)]` or a compound like
-    // `#[cfg(all(test, feature = "telemetry"))]` — marks the conventional
-    // start of a file's test tail, exempt from the hot-path-alloc rule.
-    let test_tail = lines
-        .iter()
-        .position(|l| {
-            let t = l.trim_start();
-            t.starts_with("#[cfg(") && t.contains("(test")
-        })
-        .unwrap_or(lines.len());
+    // A file's test tail is exempt from the hot-path-alloc rule.
+    let test_tail = test_tail(&lines);
 
     let mut in_block = false;
     for (idx, &line) in lines.iter().enumerate() {
@@ -298,6 +333,7 @@ fn main() -> ExitCode {
     collect_files(&root, &mut files);
     files.sort();
     let mut violations = Vec::new();
+    let mut loc: BTreeMap<String, usize> = BTreeMap::new();
     let mut scanned = 0usize;
     for path in &files {
         let Ok(content) = std::fs::read_to_string(path) else {
@@ -310,7 +346,15 @@ fn main() -> ExitCode {
             .replace('\\', "/");
         scanned += 1;
         check_source(&rel, &content, &mut violations);
+        if let Some(krate) = crate_of(&rel) {
+            *loc.entry(krate.to_string()).or_default() += non_test_lines(&rel, &content);
+        }
     }
+    println!("ppmsg-lint: non-test lines of code per crate");
+    for (krate, lines) in &loc {
+        println!("  {krate:<24} {lines:>6}");
+    }
+    println!("  {:<24} {:>6}", "total", loc.values().sum::<usize>());
     if violations.is_empty() {
         println!("ppmsg-lint: {scanned} files clean");
         ExitCode::SUCCESS
@@ -340,6 +384,37 @@ mod tests {
 
     fn kw_unsafe() -> &'static str {
         concat!("uns", "afe")
+    }
+
+    #[test]
+    fn test_tail_needs_an_inline_module() {
+        let gated_fn = "fn a() {}\n#[cfg(test)]\nfn len() {}\nfn b() {}\n";
+        assert_eq!(test_tail(&gated_fn.lines().collect::<Vec<_>>()), 4);
+        let out_of_line = "#[cfg(test)]\nmod tests;\nfn b() {}\n";
+        assert_eq!(test_tail(&out_of_line.lines().collect::<Vec<_>>()), 3);
+        let inline =
+            "fn a() {}\n#[cfg(all(test, feature = \"x\"))]\n#[allow(dead_code)]\nmod tests {\n}\n";
+        assert_eq!(test_tail(&inline.lines().collect::<Vec<_>>()), 1);
+        assert_eq!(non_test_lines("crates/core/src/a.rs", inline), 1);
+        assert_eq!(
+            non_test_lines("crates/core/src/engine/tests.rs", "fn t() {}\n"),
+            0
+        );
+    }
+
+    #[test]
+    fn crates_are_keyed_by_their_src_tree() {
+        assert_eq!(crate_of("src/timer.rs"), Some("."));
+        assert_eq!(
+            crate_of("crates/core/src/engine/mod.rs"),
+            Some("crates/core")
+        );
+        assert_eq!(
+            crate_of("crates/ppmsg-check/src/bin/ppmsg-lint.rs"),
+            Some("crates/ppmsg-check")
+        );
+        assert_eq!(crate_of("tests/conformance.rs"), None);
+        assert_eq!(crate_of("crates/core/tests/model_check.rs"), None);
     }
 
     #[test]

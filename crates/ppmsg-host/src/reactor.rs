@@ -1,10 +1,10 @@
-//! Many-peer reactor backend: one event-loop thread drives every endpoint
-//! registered with a [`Reactor`], so a process serving thousands of peers
-//! spends one thread (and one `epoll`-style wait) instead of one thread per
-//! endpoint the way [`UdpEndpoint`](crate::UdpEndpoint) does.
+//! The socket backend: one event-loop thread drives every endpoint
+//! registered with a [`Reactor`] over UDP sockets, so a process serving
+//! thousands of peers spends one thread (and one `poll` wait) for all of
+//! them.  A caller that wants each endpoint on its own thread gives each
+//! endpoint its own `Reactor`.
 //!
-//! Three mechanisms distinguish the reactor from the thread-per-endpoint
-//! UDP backend:
+//! Three mechanisms keep the loop cheap per peer:
 //!
 //! * **Batched syscalls.** On Linux the reception path drains up to
 //!   [`RECV_BATCH`] datagrams per `recvmmsg(2)` call and the transmission
@@ -17,19 +17,16 @@
 //! * **One engine lock per batch.** Every datagram of a `recvmmsg` batch is
 //!   fed to the protocol engine under a single lock acquisition, and the
 //!   actions the batch produced are applied — and the send batch flushed —
-//!   **before that lock is released**.  This preserves the ordering
-//!   invariant documented on [`udp`](crate::UdpEndpoint)'s `run_engine`:
-//!   applying actions after unlock can interleave two interactions'
-//!   `SetTimer` actions and wedge a transfer.
+//!   **before that lock is released** (`EpShared::run_engine` explains why
+//!   the ordering is load-bearing).
 //! * **A hashed timer wheel.** Retransmission timers from every hosted
-//!   endpoint land in one wheel with [`TICK_US`]-microsecond resolution.
-//!   The wheel is *insert-only*: `CancelTimer` is ignored and superseded
-//!   timers are left to fire, because every [`TimerId`] carries a
-//!   generation and the ARQ channels treat a stale generation's timeout as
-//!   a no-op (the chaos harness proves that property under a seeded fault
-//!   plane).  Lazy cancellation keeps insertion O(1) with no per-peer scan
-//!   — the scan in the UDP backend's flat timer list is exactly what stops
-//!   scaling past a few hundred peers.
+//!   endpoint land in one [`TimerWheel`] with [`TICK_US`]-microsecond
+//!   ticks.  The wheel is *insert-only*: `CancelTimer` is ignored and
+//!   superseded timers are left to fire, because every [`TimerId`] carries
+//!   a generation and the ARQ channels treat a stale generation's timeout
+//!   as a no-op (the chaos harness proves that property under a seeded
+//!   fault plane).  Lazy cancellation keeps arming O(1) with no per-peer
+//!   scan, however many peers share the loop.
 //!
 //! Endpoints are added with [`Reactor::add_endpoint`]; the returned
 //! [`ReactorEndpoint`] implements [`RawTransport`], so the facade's
@@ -40,6 +37,7 @@ use bytes::{Bytes, BytesMut};
 use ppmsg_check::sync::Mutex;
 use ppmsg_core::reliability::Frame;
 use ppmsg_core::telemetry::{self, lock_ctx, Counter, EventKind, LogHistogram};
+use ppmsg_core::wheel::TimerWheel;
 use ppmsg_core::wire::PacketBufPool;
 use ppmsg_core::{
     Action, Completion, CompletionMailbox, CompletionQueue, Endpoint, EndpointConfig,
@@ -65,9 +63,6 @@ const MAX_BATCH_ROUNDS: usize = 4;
 /// Timer wheel resolution.  Retransmission timeouts are milliseconds, so
 /// half-millisecond ticks never meaningfully delay a deadline.
 const TICK_US: u64 = 500;
-/// Timer wheel slot count; deadlines further out than `WHEEL_SLOTS` ticks
-/// simply survive extra cursor revolutions in their slot.
-const WHEEL_SLOTS: usize = 256;
 /// How long the event loop blocks waiting for readable sockets.
 const POLL_TIMEOUT_MS: i32 = 2;
 /// One user-thread engine interaction in this many is timed for the
@@ -276,9 +271,8 @@ mod sys {
     }
 
     /// Transmits every `(frame, destination)` pair, coalescing runs of
-    /// IPv4 destinations into `sendmmsg` batches.  Errors are ignored,
-    /// matching the UDP backend: a lost datagram is recovered by the ARQ
-    /// layer.
+    /// IPv4 destinations into `sendmmsg` batches.  Errors are ignored: a
+    /// lost datagram is recovered by the ARQ layer.
     pub(super) fn send_batch(socket: &UdpSocket, frames: &[(BytesMut, SocketAddr)]) {
         let mut i = 0;
         while i < frames.len() {
@@ -344,77 +338,12 @@ mod sys {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-struct WheelEntry {
-    tick: u64,
-    ep: Weak<EpShared>,
-    timer: TimerId,
-}
-
-/// Hashed timer wheel shared by every endpoint a reactor hosts.
-///
-/// Insert-only: entries are never removed by cancellation, only when their
-/// slot's cursor pass collects them.  A fired entry whose generation the
-/// owning channel has since superseded is ignored by the engine, so lazy
-/// cancellation costs one spurious `handle_timer` call instead of a scan.
-struct TimerWheel {
-    start: Instant,
-    /// The next tick the cursor will collect (ticks are `TICK_US` long).
-    next_tick: u64,
-    slots: Vec<Vec<WheelEntry>>,
-}
-
-impl TimerWheel {
-    fn new(start: Instant) -> TimerWheel {
-        TimerWheel {
-            start,
-            next_tick: 0,
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.start).as_micros() as u64 / TICK_US
-    }
-
-    fn insert(&mut self, deadline: Instant, ep: Weak<EpShared>, timer: TimerId) {
-        // Round the deadline *up* one tick so timers never fire early, and
-        // clamp behind-the-cursor deadlines to the next collection pass.
-        let tick = (self.tick_of(deadline) + 1).max(self.next_tick);
-        self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(WheelEntry { tick, ep, timer });
-    }
-
-    /// Collects every entry whose deadline has passed into `fired`,
-    /// advancing the cursor to `now`.  Entries parked for a later
-    /// revolution of the wheel stay in their slot.
-    fn advance(&mut self, now: Instant, fired: &mut Vec<(Weak<EpShared>, TimerId)>) {
-        let now_tick = self.tick_of(now);
-        while self.next_tick <= now_tick {
-            let cur = self.next_tick;
-            let slot = &mut self.slots[(cur % WHEEL_SLOTS as u64) as usize];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].tick <= cur {
-                    let entry = slot.swap_remove(i);
-                    fired.push((entry.ep, entry.timer));
-                } else {
-                    i += 1;
-                }
-            }
-            self.next_tick += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared state
 // ---------------------------------------------------------------------------
 
-/// Peer addressing in both directions: `by_addr` gives the reception path
-/// O(1) source identification (the UDP backend's linear reverse scan is
-/// another thing that stops scaling past a few hundred peers).
+/// Peer addressing in both directions: `by_id` routes transmissions and
+/// `by_addr` identifies a datagram's sender, both in O(1) so the cost per
+/// datagram does not grow with the number of peers.
 #[derive(Default)]
 struct PeerTable {
     by_id: HashMap<u64, SocketAddr>,
@@ -470,9 +399,18 @@ struct ReactorShared {
     /// Bumped on every add/remove; the event loop reloads its endpoint
     /// cache (and poll set) when it observes a change.
     epoch: AtomicU64,
-    wheel: Mutex<TimerWheel>,
+    /// Tick 0 of the wheel; ticks are [`TICK_US`] long.
+    start: Instant,
+    /// Retransmission deadlines of every hosted endpoint.
+    wheel: Mutex<TimerWheel<(Weak<EpShared>, TimerId)>>,
     shutdown: AtomicBool,
     metrics: ReactorMetrics,
+}
+
+impl ReactorShared {
+    fn tick_of(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.start).as_micros() as u64 / TICK_US
+    }
 }
 
 /// Outgoing frames coalesced during one engine interaction, flushed in
@@ -570,11 +508,12 @@ impl EpShared {
                 }
                 Action::SetTimer { timer, delay_us } => {
                     if let Some(reactor) = self.reactor.upgrade() {
-                        let deadline = Instant::now() + Duration::from_micros(delay_us);
+                        let tick =
+                            reactor.tick_of(Instant::now() + Duration::from_micros(delay_us));
                         reactor
                             .wheel
                             .lock()
-                            .insert(deadline, self.this.clone(), timer);
+                            .insert(tick, (self.this.clone(), timer));
                     }
                 }
                 Action::CancelTimer { .. } => {}
@@ -587,8 +526,17 @@ impl EpShared {
     }
 
     /// Runs one engine interaction, applying its actions **before
-    /// releasing the engine lock** (the ordering invariant documented on
-    /// the UDP backend's `run_engine`), then publishes completions.
+    /// releasing the engine lock**, then publishes completions.
+    ///
+    /// Applying under the lock is load-bearing: engine interactions run on
+    /// user threads and the reactor thread alike, and the ARQ timer
+    /// protocol (`SetTimer` re-arms with a bumped generation) is only
+    /// correct if each interaction's actions take effect in the order the
+    /// engine produced them.  Applied after unlock, a stale `SetTimer` can
+    /// land after a newer re-arm; the channel ignores the stale
+    /// generation's timeout, no retransmission fires, and one lost datagram
+    /// wedges the transfer.  Frames likewise leave in production order, so
+    /// the receiver never sees self-inflicted reordering.
     fn run_engine<R>(
         &self,
         actions: &mut Vec<Action>,
@@ -800,7 +748,8 @@ fn reactor_loop(shared: Arc<ReactorShared>) {
         }
 
         fired.clear();
-        shared.wheel.lock().advance(Instant::now(), &mut fired);
+        let now_tick = shared.tick_of(Instant::now());
+        shared.wheel.lock().advance(now_tick, &mut fired);
         shared.metrics.timers_fired.add(fired.len() as u64);
         for (ep, timer) in fired.drain(..) {
             if let Some(ep) = ep.upgrade() {
@@ -834,7 +783,8 @@ impl Reactor {
         let shared = Arc::new(ReactorShared {
             endpoints: Mutex::new("host.reactor.endpoints", Vec::new()),
             epoch: AtomicU64::new(0),
-            wheel: Mutex::new("host.reactor.wheel", TimerWheel::new(Instant::now())),
+            start: Instant::now(),
+            wheel: Mutex::new("host.reactor.wheel", TimerWheel::new()),
             shutdown: AtomicBool::new(false),
             metrics: ReactorMetrics::default(),
         });
@@ -910,10 +860,9 @@ impl Drop for Reactor {
 
 /// A Push-Pull Messaging endpoint hosted by a [`Reactor`].
 ///
-/// The posting API matches [`UdpEndpoint`](crate::UdpEndpoint); reception
-/// and retransmission timers are driven by the reactor's event loop
-/// instead of a dedicated thread.  Dropping the endpoint deregisters it
-/// from the event loop.
+/// Postings run the engine on the calling thread; reception and
+/// retransmission timers are driven by the reactor's event loop.  Dropping
+/// the endpoint deregisters it from the event loop.
 pub struct ReactorEndpoint {
     shared: Arc<EpShared>,
 }
@@ -1029,8 +978,8 @@ impl ReactorEndpoint {
     }
 }
 
-/// Same contract as the UDP backend: posting runs the engine on the
-/// calling thread (the reactor thread publishes concurrent completions),
+/// Posting runs the engine on the calling thread (the reactor thread
+/// publishes concurrent completions),
 /// and completion access goes through the mailbox's queue, which sweeps
 /// pending inbox batches before running the caller's closure, so
 /// check-and-register through [`RawTransport::with_completions`] can never
@@ -1213,22 +1162,31 @@ mod tests {
     #[test]
     fn late_receiver_recovers_via_selective_repeat() {
         // Push-All with a tiny pushed buffer: the eager frames overflow
-        // and are dropped; selective-repeat retransmissions complete the
-        // transfer once the receive is posted, resending only what the
-        // SACKs reveal as missing.
+        // and are dropped; retransmissions complete the transfer once the
+        // receive is posted.  Selective repeat resends only what the SACKs
+        // reveal as missing; the go-back-N run is the baseline it improves
+        // on, resending the whole window.
         let reactor = Reactor::new().unwrap();
-        let protocol = ProtocolConfig::paper_internode()
-            .with_mode(ProtocolMode::PushAll)
-            .with_pushed_buffer(4 * 1024);
-        let config = EndpointConfig::new().reliability(ReliabilityMode::SelectiveRepeat);
-        let (a, b) = pair(&reactor, protocol, &config);
-        let data = payload(16 * 1024);
-        send(&a, b.id(), Tag(7), data.clone());
-        std::thread::sleep(Duration::from_millis(120));
-        let got = recv(&b, a.id(), Tag(7), 16 * 1024, T).expect("recv timed out");
-        assert_eq!(got, data);
-        assert!(b.stats().frames_dropped > 0, "expected pushed-buffer drops");
-        assert!(a.stats().retransmits > 0, "expected SR retransmissions");
+        for reliability in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
+            let protocol = ProtocolConfig::paper_internode()
+                .with_mode(ProtocolMode::PushAll)
+                .with_pushed_buffer(4 * 1024);
+            let config = EndpointConfig::new().reliability(reliability);
+            let (a, b) = pair(&reactor, protocol, &config);
+            let data = payload(16 * 1024);
+            send(&a, b.id(), Tag(7), data.clone());
+            std::thread::sleep(Duration::from_millis(120));
+            let got = recv(&b, a.id(), Tag(7), 16 * 1024, T).expect("recv timed out");
+            assert_eq!(got, data, "{reliability:?}");
+            assert!(
+                b.stats().frames_dropped > 0,
+                "{reliability:?}: expected pushed-buffer drops"
+            );
+            assert!(
+                a.stats().retransmits > 0,
+                "{reliability:?}: expected retransmissions"
+            );
+        }
     }
 
     #[test]
@@ -1323,59 +1281,5 @@ mod tests {
         let data = payload(2048);
         send(&a, b.id(), Tag(1), data.clone());
         assert_eq!(recv(&b, a.id(), Tag(1), 2048, T).unwrap(), data);
-    }
-
-    #[test]
-    fn timer_wheel_fires_in_deadline_order_and_parks_far_deadlines() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        let ep = Weak::new();
-        let near = TimerId {
-            peer: ProcessId::new(0, 1),
-            generation: 1,
-        };
-        let far = TimerId {
-            peer: ProcessId::new(0, 2),
-            generation: 7,
-        };
-        // `far` lands in the same slot as `near` but a full revolution
-        // later: WHEEL_SLOTS ticks further out.
-        wheel.insert(start + Duration::from_micros(TICK_US), ep.clone(), near);
-        wheel.insert(
-            start + Duration::from_micros(TICK_US * (1 + WHEEL_SLOTS as u64)),
-            ep.clone(),
-            far,
-        );
-        let mut fired = Vec::new();
-        wheel.advance(start + Duration::from_micros(TICK_US * 3), &mut fired);
-        assert_eq!(
-            fired.iter().map(|(_, t)| *t).collect::<Vec<_>>(),
-            vec![near],
-            "far deadline must survive the first revolution"
-        );
-        fired.clear();
-        wheel.advance(
-            start + Duration::from_micros(TICK_US * (WHEEL_SLOTS as u64 + 3)),
-            &mut fired,
-        );
-        assert_eq!(fired.iter().map(|(_, t)| *t).collect::<Vec<_>>(), vec![far]);
-    }
-
-    #[test]
-    fn timer_wheel_clamps_past_deadlines_to_next_pass() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        let mut fired = Vec::new();
-        wheel.advance(start + Duration::from_micros(TICK_US * 100), &mut fired);
-        assert!(fired.is_empty());
-        // A deadline behind the cursor still fires on the next advance.
-        let timer = TimerId {
-            peer: ProcessId::new(0, 1),
-            generation: 3,
-        };
-        wheel.insert(start, Weak::new(), timer);
-        wheel.advance(start + Duration::from_micros(TICK_US * 101), &mut fired);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, timer);
     }
 }

@@ -29,9 +29,9 @@
 //!   executes the same interleaving every run — async tests stay
 //!   deterministic and single-threaded.  On the host backends the same
 //!   driver overlaps real traffic: progress happens on the backends' own
-//!   threads (the intranode router runs on whichever thread posted, the UDP
-//!   reception thread pumps frames and timers), and completions wake the
-//!   driver through the waker table.
+//!   threads (the intranode router runs on whichever thread posted, the
+//!   reactor thread pumps socket frames and timers), and completions wake
+//!   the driver through the waker table.
 //!
 //! [`LoopbackCluster`]: ppmsg_sim::LoopbackCluster
 //!

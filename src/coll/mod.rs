@@ -2,7 +2,7 @@
 //! broadcast, barrier, reduce / all-reduce, gather / scatter, all-to-all —
 //! implemented **once**, generically over the transport front-end's
 //! [`Endpoint`](crate::transport::Endpoint)`<T:`[`RawTransport`]`>`, so the
-//! intranode shared-memory fabric, the UDP internode backend, and the
+//! intranode shared-memory fabric, the UDP socket reactor, and the
 //! deterministic loopback cluster all get them from the same code.
 //!
 //! [`RawTransport`]: ppmsg_core::RawTransport

@@ -291,11 +291,13 @@ struct PoolShared {
     locals: Box<[Mutex<VecDeque<Arc<TaskCell>>>]>,
     /// Overflow/entry queue for tasks spawned or woken off-pool.
     injector: Mutex<VecDeque<Arc<TaskCell>>>,
-    /// Tasks sitting in some queue right now.  Paired with `sleepers` in a
-    /// two-flag handshake (both `SeqCst`): an enqueuer bumps `pending` then
-    /// reads `sleepers`; a worker registers in `sleepers` then re-reads
-    /// `pending` — in the single total order at least one side sees the
-    /// other, so no task is left queued with every worker asleep.
+    /// Tasks sitting in some queue right now, or about to be pushed (the
+    /// enqueuer counts a task before publishing it, so the count never
+    /// dips below zero).  Paired with `sleepers` in a two-flag handshake
+    /// (both `SeqCst`): an enqueuer bumps `pending` then reads `sleepers`;
+    /// a worker registers in `sleepers` then re-reads `pending` — in the
+    /// single total order at least one side sees the other, so no task is
+    /// left queued with every worker asleep.
     pending: AtomicUsize,
     /// Workers parked on `park_cv`.
     sleepers: AtomicUsize,
@@ -327,11 +329,14 @@ impl PoolShared {
             Some((pool, worker)) if pool == me => Some(worker),
             _ => None,
         });
+        // Count the task before publishing it: once pushed, a worker may pop
+        // it and decrement `pending` before this thread runs again, and a
+        // decrement ahead of its increment would wrap the counter.
+        let queued = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         match slot {
             Some(worker) => self.locals[worker].lock().push_back(task),
             None => self.injector.lock().push_back(task),
         }
-        let queued = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         #[cfg(not(ppmsg_check))]
         self.metrics.queue_depth.record(queued as u64);
         #[cfg(ppmsg_check)]

@@ -12,10 +12,9 @@
 //! * [`sim`] — the paper's testbed as a discrete-event simulation
 //!   plus the experiment harness for every figure, and the deterministic
 //!   loopback binding of the operations API.
-//! * [`host`] — the same engine over real shared memory
-//!   (threads) and UDP sockets, including the many-peer
-//!   [`host::Reactor`] backend (one event loop, batched
-//!   `recvmmsg`/`sendmmsg` I/O, a shared timer wheel).
+//! * [`host`] — the same engine over real shared memory (threads) and
+//!   over UDP sockets through the [`host::Reactor`] backend (one event loop
+//!   per reactor, batched `recvmmsg`/`sendmmsg` I/O, a shared timer wheel).
 //! * [`transport`] — the generic [`Endpoint`]`<T: RawTransport>` front-end:
 //!   blocking `send`/`recv`/`wait`, async futures, vectored sends, borrowed
 //!   completion drains, and per-endpoint [`EndpointConfig`] overrides — all
@@ -75,7 +74,7 @@ pub mod prelude {
         Action, BtpPolicy, Claim, Completion, OpId, OptFlags, ProcessId, ProtocolConfig,
         ProtocolMode, RecvBuf, RecvOp, ReliabilityMode, SendOp, Status, Tag, TruncationPolicy,
     };
-    pub use ppmsg_host::{HostCluster, HostEndpoint, Reactor, ReactorEndpoint, UdpEndpoint};
+    pub use ppmsg_host::{HostCluster, HostEndpoint, Reactor, ReactorEndpoint};
     pub use ppmsg_sim::{
         ChaosCluster, ChaosConfig, ChaosEndpoint, ChaosReport, ChaosStats, ClusterConfig,
         LoopbackCluster, LoopbackEndpoint, Op, ProcessScript, SimCluster,

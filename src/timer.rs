@@ -3,10 +3,10 @@
 //! The protocol engine reads no clock and the executors keep no time source,
 //! so until now an async caller awaiting a completion that never arrives
 //! (peer crashed before posting, wildcard mismatch, ...) waited forever.
-//! This module closes that hazard with the same machinery the reactor
-//! backend uses for retransmission deadlines: a hashed **timer wheel**
-//! (fixed slot ring, millisecond ticks, lazy cancellation) driven by one
-//! global, lazily-started thread.
+//! This module closes that hazard with the same hashed timer wheel the
+//! reactor backend uses for retransmission deadlines
+//! ([`ppmsg_core::wheel::TimerWheel`], millisecond ticks here, lazy
+//! cancellation) driven by one global, lazily-started thread.
 //!
 //! * [`sleep`] resolves once a duration has elapsed;
 //! * [`timeout`] races any future against a deadline, yielding
@@ -15,12 +15,13 @@
 //! Entries are generation-checked: dropping a [`Sleep`] retires its slot
 //! immediately and leaves the wheel entry to be collected at its original
 //! tick, where the stale generation makes it a no-op — cancellation costs
-//! O(1), exactly like the reactor wheel and the engine's own timer
+//! O(1), exactly like the reactor's timers and the engine's own timer
 //! generations.  Wakes never fire early; they may fire up to one tick
 //! (1 ms) late, which is noise against the retransmission-scale timeouts
 //! this layer exists for.
 
 use ppmsg_check::sync::{Condvar, Mutex};
+use ppmsg_core::wheel::TimerWheel;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -30,17 +31,6 @@ use std::time::{Duration, Instant};
 
 /// Wheel resolution: 1 ms ticks (deadlines round up, never firing early).
 const TICK_US: u64 = 1_000;
-/// Wheel slot count; deadlines further out than `WHEEL_SLOTS` ticks survive
-/// extra cursor revolutions in their slot, as in the reactor wheel.
-const WHEEL_SLOTS: usize = 256;
-
-/// One wheel entry: the absolute tick it fires at and the generation-checked
-/// timer slot it resolves.
-struct Entry {
-    tick: u64,
-    slot: usize,
-    generation: u64,
-}
 
 /// A timer slot's lifecycle.  `Waiting` holds the waker of the last poll
 /// (none before the first); `Elapsed` means the wheel fired it and the next
@@ -56,27 +46,23 @@ struct TimerSlot {
 }
 
 struct TimerInner {
+    /// Tick 0 of the wheel.
     start: Instant,
-    /// The next tick the cursor will collect.
-    next_tick: u64,
-    wheel: Vec<Vec<Entry>>,
+    /// `(slot, generation)` entries, checked against `table` when fired.
+    wheel: TimerWheel<(usize, u64)>,
     table: Vec<TimerSlot>,
     free: Vec<usize>,
-    /// Slots in `Waiting` state — when zero the driver parks indefinitely.
-    live: usize,
-    /// Scratch for entries collected in one cursor pass.
-    fired: Vec<Entry>,
+    /// Scratch for entries collected in one advance.
+    fired: Vec<(usize, u64)>,
 }
 
 impl TimerInner {
     fn new(start: Instant) -> TimerInner {
         TimerInner {
             start,
-            next_tick: 0,
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            wheel: TimerWheel::new(),
             table: Vec::new(),
             free: Vec::new(),
-            live: 0,
             fired: Vec::new(),
         }
     }
@@ -100,76 +86,39 @@ impl TimerInner {
         });
         self.table[slot].state = SlotState::Waiting(None);
         let generation = self.table[slot].generation;
-        // Round up one tick so the timer never fires early; clamp deadlines
-        // behind the cursor to its next collection pass.
-        let tick = (self.tick_of(deadline) + 1).max(self.next_tick);
-        self.wheel[(tick % WHEEL_SLOTS as u64) as usize].push(Entry {
-            tick,
-            slot,
-            generation,
-        });
-        self.live += 1;
+        self.wheel
+            .insert(self.tick_of(deadline), (slot, generation));
         (slot, generation)
     }
 
-    /// The earliest tick any entry (live or stale) occupies.
-    fn nearest_tick(&self) -> Option<u64> {
-        self.wheel
-            .iter()
-            .flat_map(|bucket| bucket.iter().map(|entry| entry.tick))
-            .min()
-    }
-
-    /// Advances the cursor to `now`, collecting every due entry.  Ticks no
-    /// entry occupies are jumped over, so waking after a long idle stretch
-    /// costs O(entries), not O(elapsed ticks).
+    /// Advances the wheel to `now`, collecting the wakers of every sleep
+    /// that elapsed.
     fn advance(&mut self, now: Instant, woken: &mut Vec<Waker>) {
         let now_tick = self.tick_of(now);
-        while self.next_tick <= now_tick {
-            let cur = self.next_tick;
-            let bucket = &mut self.wheel[(cur % WHEEL_SLOTS as u64) as usize];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].tick <= cur {
-                    let entry = bucket.swap_remove(i);
-                    self.fired.push(entry);
-                } else {
-                    i += 1;
-                }
+        self.wheel.advance(now_tick, &mut self.fired);
+        for (slot_index, generation) in self.fired.drain(..) {
+            let slot = &mut self.table[slot_index];
+            // Stale generation = the sleep was dropped; skip.
+            if slot.generation != generation {
+                ppmsg_core::telemetry::event(
+                    ppmsg_core::telemetry::EventKind::TimerStale,
+                    generation as u32,
+                    0,
+                    slot_index as u64,
+                );
+                continue;
             }
-            while let Some(entry) = self.fired.pop() {
-                let slot = &mut self.table[entry.slot];
-                // Stale generation = the sleep was dropped; skip.
-                if slot.generation != entry.generation {
-                    ppmsg_core::telemetry::event(
-                        ppmsg_core::telemetry::EventKind::TimerStale,
-                        entry.generation as u32,
-                        0,
-                        entry.slot as u64,
-                    );
-                    continue;
+            if let SlotState::Waiting(waker) = &mut slot.state {
+                if let Some(waker) = waker.take() {
+                    woken.push(waker);
                 }
-                if let SlotState::Waiting(waker) = &mut slot.state {
-                    if let Some(waker) = waker.take() {
-                        woken.push(waker);
-                    }
-                    slot.state = SlotState::Elapsed;
-                    self.live -= 1;
-                    ppmsg_core::telemetry::event(
-                        ppmsg_core::telemetry::EventKind::TimerFire,
-                        entry.generation as u32,
-                        0,
-                        entry.slot as u64,
-                    );
-                }
-            }
-            self.next_tick = cur + 1;
-            match self.nearest_tick() {
-                Some(next) if next > self.next_tick => {
-                    self.next_tick = next.min(now_tick + 1);
-                }
-                None => break,
-                _ => {}
+                slot.state = SlotState::Elapsed;
+                ppmsg_core::telemetry::event(
+                    ppmsg_core::telemetry::EventKind::TimerFire,
+                    generation as u32,
+                    0,
+                    slot_index as u64,
+                );
             }
         }
     }
@@ -220,20 +169,17 @@ fn driver_loop(shared: Arc<TimerShared>) {
             inner = shared.inner.lock();
             continue;
         }
-        match inner.nearest_tick() {
+        match inner.wheel.earliest_tick() {
             Some(tick) => {
                 let deadline = inner.instant_of(tick);
                 let timeout = deadline.saturating_duration_since(Instant::now());
                 let (guard, _timed_out) = shared.cv.wait_timeout(inner, timeout);
                 inner = guard;
             }
-            None => {
-                // Idle: re-anchor the wheel so the cursor never has a long
-                // catch-up, then park until the next registration.
-                inner.start = now;
-                inner.next_tick = 0;
-                inner = shared.cv.wait(inner);
-            }
+            // Idle: park until the next registration.  The wheel's first
+            // advance after a long idle stretch is one sweep, not a
+            // tick-by-tick catch-up.
+            None => inner = shared.cv.wait(inner),
         }
     }
 }
@@ -309,11 +255,7 @@ impl Drop for Sleep {
         if self.done {
             return;
         }
-        let mut inner = self.shared.inner.lock();
-        if let SlotState::Waiting(_) = inner.table[self.slot].state {
-            inner.live -= 1;
-        }
-        inner.retire(self.slot);
+        self.shared.inner.lock().retire(self.slot);
     }
 }
 

@@ -45,7 +45,7 @@
 //! use std::time::Duration;
 //!
 //! // The same function drives the sim-cluster binding here, and the
-//! // intranode / UDP backends in the conformance tests.
+//! // intranode / reactor backends in the conformance tests.
 //! fn exchange<T: RawTransport>(a: &Endpoint<T>, b: &Endpoint<T>) {
 //!     let recv = b
 //!         .post_recv(ANY_SOURCE, ANY_TAG, 1024, TruncationPolicy::Error)
@@ -108,7 +108,7 @@ fn check_recv_tag(tag: Tag) -> Result<()> {
 /// re-derive lives here as shared code: blocking waits and conveniences,
 /// async futures, vectored sends, batch and borrowed completion drains, and
 /// per-endpoint defaults from [`EndpointConfig`].  The wrapped backend is a
-/// plain value — `Endpoint<LoopbackEndpoint>`, `Endpoint<UdpEndpoint>`,
+/// plain value — `Endpoint<LoopbackEndpoint>`, `Endpoint<ReactorEndpoint>`,
 /// `Endpoint<Box<dyn RawTransport>>` (see [`Endpoint::boxed`]) — and stays
 /// accessible through [`Endpoint::raw`].
 #[derive(Debug)]

@@ -4,7 +4,8 @@
 //! `conformance_suite!` macro — replacing the copy-adapted per-backend
 //! blocks the integration tests used to carry.
 //!
-//! Covered per backend (intranode fabric, UDP, sim-cluster loopback):
+//! Covered per backend (intranode fabric, UDP socket reactor in a shared
+//! and a split layout, sim-cluster loopback, chaos):
 //! blocking round trips, wildcard matching, caller-owned buffers, recv and
 //! send cancellation, both truncation policies (the PR-2 "too-small receive
 //! poisons the message" regression), vectored sends, borrowed completion
@@ -239,7 +240,7 @@ mod cases {
         // queue unawaited, where the peek can legally see it.
         assert!(a.wait(OpId::Send(send), TIMEOUT).is_some());
 
-        // The UDP backend publishes b's completion from its reception
+        // The reactor publishes b's completion from its event-loop
         // thread; poll the peek until it shows up (instant elsewhere).
         let deadline = std::time::Instant::now() + TIMEOUT;
         let mut seen = false;
@@ -395,10 +396,24 @@ mod setup {
         )
     }
 
-    pub fn udp_pair() -> (Endpoint<UdpEndpoint>, Endpoint<UdpEndpoint>) {
+    /// UDP sockets with each side of the pair on its own reactor thread:
+    /// the thread-per-endpoint layout, where every frame and completion
+    /// crosses between two event loops.
+    pub fn udp_pair() -> (Endpoint<ReactorEndpoint>, Endpoint<ReactorEndpoint>) {
+        static REACTORS: std::sync::OnceLock<[Reactor; 2]> = std::sync::OnceLock::new();
+        let [ra, rb] = REACTORS.get_or_init(|| {
+            [
+                Reactor::new().expect("spawn reactor"),
+                Reactor::new().expect("spawn reactor"),
+            ]
+        });
         let proto = ProtocolConfig::paper_internode().with_pushed_buffer(128 * 1024);
-        let a = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-        let b = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
+        let a = ra
+            .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+            .unwrap();
+        let b = rb
+            .add_endpoint(ProcessId::new(1, 0), proto, "127.0.0.1:0")
+            .unwrap();
         a.add_peer(b.id(), b.local_addr().unwrap());
         b.add_peer(a.id(), a.local_addr().unwrap());
         (Endpoint::new(a), Endpoint::new(b))

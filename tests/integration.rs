@@ -230,8 +230,13 @@ fn driver_reuses_task_slots_across_many_spawns() {
 #[test]
 fn udp_and_intranode_backends_interoperate_with_same_engine_config() {
     let proto = ProtocolConfig::paper_internode().with_pushed_buffer(64 * 1024);
-    let a = UdpEndpoint::bind(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0").unwrap();
-    let b = UdpEndpoint::bind(ProcessId::new(1, 0), proto, "127.0.0.1:0").unwrap();
+    let reactor = Reactor::new().expect("spawn reactor");
+    let a = reactor
+        .add_endpoint(ProcessId::new(0, 0), proto.clone(), "127.0.0.1:0")
+        .unwrap();
+    let b = reactor
+        .add_endpoint(ProcessId::new(1, 0), proto, "127.0.0.1:0")
+        .unwrap();
     a.add_peer(b.id(), b.local_addr().unwrap());
     b.add_peer(a.id(), a.local_addr().unwrap());
     let (a, b) = (Endpoint::new(a), Endpoint::new(b));

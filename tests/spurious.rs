@@ -8,7 +8,7 @@
 //! shows up here as an early return (assert) or a hang (test timeout).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::task::{Wake, Waker};
 
 use push_pull_messaging::core::ops::{Completion, CompletionMailbox, OpId, SendOp, Status};
@@ -21,17 +21,31 @@ fn wait_idle_with_concurrent_waiters_and_bursts() {
     let done = Arc::new(AtomicUsize::new(0));
     const BURSTS: usize = 20;
     const TASKS: usize = 50;
+    const WAITERS: usize = 3;
 
-    // Several threads call `wait_idle` concurrently while bursts of tasks
-    // are still being spawned: every return from `wait_idle` must observe
-    // zero live tasks at that moment.
-    let waiters: Vec<_> = (0..3)
+    // Several threads call `wait_idle` concurrently while a burst of tasks
+    // is in flight: every return from `wait_idle` must observe zero live
+    // tasks.  Two barriers fence each burst — `spawned` releases the
+    // waiters once the burst is queued, `checked` holds the next burst back
+    // until every waiter has read `live()` — so no spawn can race a check.
+    // Waiters count violations rather than panic, so a failure cannot
+    // strand the other threads at a barrier.
+    let spawned = Arc::new(Barrier::new(WAITERS + 1));
+    let checked = Arc::new(Barrier::new(WAITERS + 1));
+    let early_returns = Arc::new(AtomicUsize::new(0));
+    let waiters: Vec<_> = (0..WAITERS)
         .map(|_| {
             let pool = Arc::clone(&pool);
+            let (spawned, checked) = (Arc::clone(&spawned), Arc::clone(&checked));
+            let early_returns = Arc::clone(&early_returns);
             std::thread::spawn(move || {
                 for _ in 0..BURSTS {
+                    spawned.wait();
                     pool.wait_idle();
-                    assert_eq!(pool.live(), 0, "wait_idle returned with live tasks");
+                    if pool.live() != 0 {
+                        early_returns.fetch_add(1, Ordering::SeqCst);
+                    }
+                    checked.wait();
                 }
             })
         })
@@ -44,12 +58,20 @@ fn wait_idle_with_concurrent_waiters_and_bursts() {
                 done.fetch_add(1, Ordering::SeqCst);
             });
         }
+        spawned.wait();
         pool.wait_idle();
-        assert_eq!(pool.live(), 0);
+        let live = pool.live();
+        checked.wait();
+        assert_eq!(live, 0);
     }
     for w in waiters {
         w.join().unwrap();
     }
+    assert_eq!(
+        early_returns.load(Ordering::SeqCst),
+        0,
+        "wait_idle returned with live tasks"
+    );
     assert_eq!(done.load(Ordering::SeqCst), BURSTS * TASKS);
 }
 

@@ -11,6 +11,10 @@
 //! to the pre-sharding fabric); opt in with
 //! [`EndpointConfig::shards`](ppmsg_core::EndpointConfig::shards) or
 //! [`HostCluster::add_endpoint_sharded`].
+//!
+//! Ranks may be added while traffic flows: packets routed to a rank that
+//! has not been added yet are held by the fabric and delivered, in order,
+//! when [`HostCluster::add_endpoint`] registers it.
 
 use bytes::Bytes;
 use ppmsg_check::sync::Mutex;
@@ -43,15 +47,45 @@ impl Member {
     }
 }
 
+/// The fabric's membership: the live members, and the packets routed to
+/// ranks that have not been added yet.
+#[derive(Default)]
+struct Members {
+    live: HashMap<u64, Arc<Member>>,
+    /// Per absent destination, its `(source, packet)`s in arrival order.
+    /// Only pushes of sends already posted land here, so this is bounded
+    /// by them.
+    held: HashMap<u64, Vec<(ProcessId, Packet)>>,
+}
+
 /// The shared state of one intranode fabric (one simulated "SMP node" worth
 /// of processes living in this OS process).
 struct Fabric {
-    members: Mutex<HashMap<u64, Arc<Member>>>,
+    members: Mutex<Members>,
 }
 
 impl Fabric {
-    fn member(&self, id: ProcessId) -> Option<Arc<Member>> {
-        self.members.lock().get(&id.as_u64()).cloned()
+    /// The live member `dst`, or `None` after holding `packet` for it.
+    /// The lookup and the hold share one critical section, so a packet is
+    /// either delivered or seen by the `add_endpoint` that registers `dst`.
+    fn member_or_hold(
+        &self,
+        src: ProcessId,
+        dst: ProcessId,
+        packet: Packet,
+    ) -> Option<(Arc<Member>, Packet)> {
+        let mut members = self.members.lock();
+        match members.live.get(&dst.as_u64()) {
+            Some(member) => Some((member.clone(), packet)),
+            None => {
+                members
+                    .held
+                    .entry(dst.as_u64())
+                    .or_default()
+                    .push((src, packet));
+                None
+            }
+        }
     }
 
     /// Queues a member's outgoing packets; cost-model hints
@@ -93,12 +127,45 @@ impl Fabric {
         ppmsg_core::telemetry::clock::hold();
         let mut batch = EngineBatch::new();
         while let Some((src, dst, packet)) = work.pop_front() {
-            let Some(member) = self.member(dst) else {
+            let Some((member, packet)) = self.member_or_hold(src, dst, packet) else {
                 continue;
             };
             member.engine.handle_packet(src, packet, &mut batch);
             member.publish(&mut batch);
             Self::queue_actions(dst, &mut batch.actions, &mut work);
+        }
+    }
+
+    /// Registers `member`, first delivering every packet held for it.
+    /// Packets held while a batch is being delivered (replies to what the
+    /// batch's handling sent) are picked up by the re-check under the lock,
+    /// and the member goes live only once nothing is held, so no later
+    /// packet overtakes a held one.
+    fn join(&self, member: Arc<Member>) {
+        let id = member.engine.id();
+        let mut batch = EngineBatch::new();
+        loop {
+            let held = {
+                let mut members = self.members.lock();
+                assert!(
+                    !members.live.contains_key(&id.as_u64()),
+                    "endpoint {id} added twice"
+                );
+                match members.held.remove(&id.as_u64()) {
+                    Some(held) => held,
+                    None => {
+                        members.live.insert(id.as_u64(), member);
+                        return;
+                    }
+                }
+            };
+            let mut work = VecDeque::new();
+            for (src, packet) in held {
+                member.engine.handle_packet(src, packet, &mut batch);
+                member.publish(&mut batch);
+                Self::queue_actions(id, &mut batch.actions, &mut work);
+            }
+            self.route(work);
         }
     }
 }
@@ -117,7 +184,7 @@ impl HostCluster {
     pub fn new(node: u32, protocol: ProtocolConfig) -> Self {
         HostCluster {
             fabric: Arc::new(Fabric {
-                members: Mutex::new("host.fabric.members", HashMap::new()),
+                members: Mutex::new("host.fabric.members", Members::default()),
             }),
             node,
             protocol,
@@ -125,6 +192,12 @@ impl HostCluster {
     }
 
     /// Adds a process to the fabric and returns its endpoint handle.
+    ///
+    /// Other endpoints may send to `local_rank` before it is added: the
+    /// fabric holds those packets and delivers them here, in order and
+    /// before any packet sent afterwards, so the sends complete as usual
+    /// once the rank exists.  Packets for a rank that is never added stay
+    /// held (and their sends pending) for the fabric's lifetime.
     ///
     /// # Panics
     ///
@@ -171,12 +244,7 @@ impl HostCluster {
             engine: ShardedEngine::new(id, protocol, shards),
             done: CompletionMailbox::with_queue(shards, done),
         });
-        let previous = self
-            .fabric
-            .members
-            .lock()
-            .insert(id.as_u64(), member.clone());
-        assert!(previous.is_none(), "endpoint {id} added twice");
+        self.fabric.join(member.clone());
         HostEndpoint {
             fabric: self.fabric.clone(),
             member,
@@ -561,6 +629,31 @@ mod tests {
         let done = wait(&b, OpId::Recv(op), T).unwrap();
         assert_eq!(done.status, Status::Cancelled);
         assert!(!b.cancel(op), "stale handle must not cancel again");
+    }
+
+    #[test]
+    fn send_to_a_rank_added_later_is_delivered_in_order() {
+        let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+        let a = cluster.add_endpoint(0);
+        let b_id = ProcessId::new(0, 1);
+        // Both sends precede rank 1: an eager one, then one whose
+        // remainder must be pulled once the rank exists.
+        let small = payload(16);
+        let large = payload(32 * 1024);
+        let s1 = send(&a, b_id, Tag(3), small.clone());
+        let s2 = send(&a, b_id, Tag(3), large.clone());
+        let b = cluster.add_endpoint(1);
+        assert_eq!(recv(&b, a.id(), Tag(3), 64 * 1024, T), Some(small));
+        assert_eq!(recv(&b, a.id(), Tag(3), 64 * 1024, T), Some(large));
+        assert!(wait(&a, OpId::Send(s1), T).is_some());
+        assert!(wait(&a, OpId::Send(s2), T).is_some());
+        assert!(
+            a.stats().pull_requests_served > 0,
+            "remainder was not pulled"
+        );
+        // Later traffic flows directly.
+        send(&a, b_id, Tag(4), payload(64));
+        assert_eq!(recv(&b, a.id(), Tag(4), 64, T), Some(payload(64)));
     }
 
     #[test]

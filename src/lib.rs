@@ -18,9 +18,7 @@
 //! * [`transport`] — the generic [`Endpoint`]`<T: RawTransport>` front-end:
 //!   blocking `send`/`recv`/`wait`, async futures, vectored sends, borrowed
 //!   completion drains, and per-endpoint [`EndpointConfig`] overrides — all
-//!   shared code over the backend core.  **The PR-3 `Transport` /
-//!   `AsyncTransport` traits were replaced by this split; see the
-//!   [migration guide](transport) in the module docs.**
+//!   shared code over the backend core.
 //! * [`async_transport`] — the [`OpFuture`] completion future plus the
 //!   [`block_on`] and [`Driver`] executors.
 //! * [`executor`] — the multi-core side: the work-stealing [`Pool`]

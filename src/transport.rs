@@ -1,10 +1,6 @@
 //! The capability-split transport front-end: an object-safe backend core
 //! ([`RawTransport`]) under a generic convenience layer ([`Endpoint`]).
 //!
-//! PR 4 replaced the monolithic 13-method `Transport` trait — which every
-//! backend re-implemented verbatim in three near-identical delegation
-//! blocks — with two layers:
-//!
 //! * [`RawTransport`] (defined in `ppmsg_core::transport`, implemented once
 //!   per backend in the backend's own crate): the minimal, **object-safe**
 //!   posting/polling core.  `Box<dyn RawTransport>` is a first-class
@@ -15,28 +11,8 @@
 //!   sends, borrowed completion drains ([`Endpoint::peek_completions`]),
 //!   and the per-endpoint [`EndpointConfig`] overrides.
 //!
-//! # Migrating from the PR-3 `Transport` / `AsyncTransport` traits
-//!
-//! `Transport` and `AsyncTransport` are gone.  Wrap any backend endpoint in
-//! [`Endpoint::new`] (or construct it with a backend's `*_with` method and
-//! [`EndpointConfig`]) and map methods as follows:
-//!
-//! | PR-3 surface                              | PR-4 replacement |
-//! |-------------------------------------------|------------------|
-//! | `impl Transport for MyBackend` (13 methods) | `impl RawTransport for MyBackend` (9 methods) |
-//! | `Transport::post_send` / `post_recv` / `post_recv_into` | same names on [`RawTransport`] / [`Endpoint`] |
-//! | `Transport::cancel`                       | [`RawTransport::cancel_recv`] / [`Endpoint::cancel`] |
-//! | `Transport::cancel_send`                  | unchanged |
-//! | `Transport::wait`                         | [`Endpoint::wait`] (waker-parked, shared across backends) |
-//! | `Transport::drain_completions`            | [`RawTransport::drain_completions`] (provided) / [`Endpoint::drain_completions`] |
-//! | `Transport::poll_completion` / `register_interest` / `deregister_interest` | provided methods on [`RawTransport`] |
-//! | `Transport::send_blocking` / `recv_blocking` | [`Endpoint::send_blocking`] / [`Endpoint::recv_blocking`] |
-//! | `AsyncTransport::send` / `recv` / `recv_into` | [`Endpoint::send`] / [`Endpoint::recv`] / [`Endpoint::recv_into`] |
-//! | `OpFuture<'a, T: AsyncTransport>`         | `OpFuture<'a, T: RawTransport>` |
-//! | — (new)                                   | [`Endpoint::post_send_vectored`] / [`Endpoint::send_vectored`] |
-//! | — (new)                                   | [`Endpoint::peek_completions`] (borrowed drain, [`Claim`]) |
-//! | — (new)                                   | [`EndpointConfig`] (retention cap, default truncation, GBN window, eager threshold) |
-//! | — (new)                                   | `stats().completions_evicted` |
+//! Wrap any backend endpoint in [`Endpoint::new`] (or construct it with a
+//! backend's `*_with` method and [`EndpointConfig`]):
 //!
 //! ```
 //! use push_pull_messaging::prelude::*;

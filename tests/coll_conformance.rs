@@ -531,3 +531,68 @@ fn singleton_group_collectives() {
         vec![data]
     );
 }
+
+/// The bind-then-spawn start-up of `examples/collectives`: each rank is
+/// added to the fabric and started on its own thread before the next rank
+/// exists, so rank 0's scatter can reach ranks that have not been added
+/// yet.  Most iterations pause between starting one rank and adding the
+/// next, which makes that race the rule rather than the exception.  Every
+/// iteration must finish scatter → all_reduce → gather → barrier within
+/// its timeout.
+#[test]
+fn intranode_ranks_started_one_at_a_time() {
+    const RANKS: usize = 6;
+    const ITERATIONS: usize = 20;
+    const PER_ITERATION: Duration = Duration::from_secs(20);
+    let block = 16;
+    let input = contribution(7, RANKS * block);
+    for iteration in 0..ITERATIONS {
+        let pause = Duration::from_micros(200 * (iteration % 4) as u64);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let input = input.clone();
+        // Detached, so a wedged iteration fails the test instead of
+        // hanging it.
+        std::thread::spawn(move || {
+            let cluster = HostCluster::new(0, ProtocolConfig::paper_intranode());
+            let ids: Vec<ProcessId> = (0..RANKS as u32).map(|r| ProcessId::new(0, r)).collect();
+            let group = Group::new(3, ids.clone()).unwrap();
+            let expect_sum = fold_reference(RANKS, 8);
+            std::thread::scope(|s| {
+                for &id in &ids {
+                    let member = group
+                        .bind(Endpoint::new(cluster.add_endpoint(id.local_rank)))
+                        .unwrap();
+                    let input = input.clone();
+                    let expect_sum = expect_sum.clone();
+                    s.spawn(move || {
+                        block_on(async {
+                            let rank = member.rank();
+                            let data = if rank == 0 {
+                                input.clone()
+                            } else {
+                                Bytes::new()
+                            };
+                            let mine = member.scatter(0, data, block).await.expect("scatter");
+                            assert_eq!(mine, input.slice(rank * block..(rank + 1) * block));
+                            let sum = member
+                                .all_reduce(contribution(rank, 8), affine_combine)
+                                .await
+                                .expect("all_reduce");
+                            assert_eq!(sum, expect_sum);
+                            let gathered = member.gather(0, mine).await.expect("gather");
+                            if rank == 0 {
+                                assert_eq!(gathered, Some(input.clone()));
+                            }
+                            member.barrier().await.expect("barrier");
+                        })
+                    });
+                    std::thread::sleep(pause);
+                }
+            });
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(PER_ITERATION)
+            .unwrap_or_else(|_| panic!("iteration {iteration} wedged or panicked"));
+    }
+}
